@@ -74,6 +74,13 @@ func (c *partitionCache) get(family string, p int, refineAfter bool) (*cacheEntr
 	if p < 2 || p > maxP {
 		return nil, fmt.Errorf("p=%d out of range [2,%d]", p, maxP)
 	}
+	// Validate before inserting, so unknown families never grow the map. A
+	// fresh partitioner instance per call: registry partitioners are seeded
+	// and stateful, so sharing one across fills could race.
+	pr, ok := graphpart.AllPartitioners(c.seed)[family]
+	if !ok {
+		return nil, fmt.Errorf("unknown partitioner family %q", family)
+	}
 	key := cacheKey{family: family, p: p, refine: refineAfter}
 	c.mu.Lock()
 	e, ok := c.entries[key]
@@ -83,13 +90,6 @@ func (c *partitionCache) get(family string, p int, refineAfter bool) (*cacheEntr
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		// A fresh partitioner instance per fill: registry partitioners are
-		// seeded and stateful, so sharing one across fills could race.
-		pr, ok := graphpart.AllPartitioners(c.seed)[family]
-		if !ok {
-			e.err = fmt.Errorf("unknown partitioner family %q", family)
-			return
-		}
 		a, err := pr.Partition(c.g, p)
 		if err != nil {
 			e.err = fmt.Errorf("partition %s/p=%d: %w", family, p, err)

@@ -349,3 +349,34 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("graphd.requests = %v, want >= 1", counters["graphd.requests"])
 	}
 }
+
+// TestUnknownFamiliesDoNotGrowCache requests many distinct unknown families:
+// each must be refused with 400 without materialising a cache entry, so the
+// cache cannot be grown without bound by bad input.
+func TestUnknownFamiliesDoNotGrowCache(t *testing.T) {
+	s, ts := newTestServer(t)
+	for i := 0; i < 1000; i++ {
+		getJSON(t, fmt.Sprintf("%s/partition?family=nosuch%d&p=4", ts.URL, i), http.StatusBadRequest)
+	}
+	if n := s.cache.size(); n != 0 {
+		t.Fatalf("cache holds %d entries after unknown-family requests, want 0", n)
+	}
+}
+
+// TestRunRejectsOversizedBody posts a /run body past the 1 MiB cap: the
+// daemon must answer 413 instead of decoding it.
+func TestRunRejectsOversizedBody(t *testing.T) {
+	_, ts := newTestServer(t)
+	body := fmt.Sprintf(`{"program":"pagerank","family":"tlp","p":4,"pad":"%s"}`,
+		bytes.Repeat([]byte("x"), 2*maxRunBody))
+	resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatalf("POST /run: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("oversized /run body: status %d, want %d (body: %s)",
+			resp.StatusCode, http.StatusRequestEntityTooLarge, b)
+	}
+}

@@ -9,11 +9,10 @@ import (
 )
 
 // TestHotPathAllocs_MoveSwap is the cross-check named by the
-// //graphpart:hotpath annotations on State.Move and State.Swap: once the
-// boundary index has grown to its high-water mark, reversible move and swap
-// round trips allocate nothing. p stays at 8 so the dense replica-count
-// path (p <= 64) is the one measured — the sparse path carries its own
-// suppressed GL010 for amortized row growth.
+// //graphpart:hotpath annotations on State.Move and State.Swap: reversible
+// move and swap round trips allocate nothing. p stays at 8 so the dense
+// replica-count path (p <= 64) is the one measured — the sparse path
+// carries its own suppressed GL010 for amortized row growth.
 func TestHotPathAllocs_MoveSwap(t *testing.T) {
 	if invariants.Enabled {
 		t.Skip("invariants builds run AssertConsistent inside Move, which allocates")
@@ -44,8 +43,6 @@ func TestHotPathAllocs_MoveSwap(t *testing.T) {
 		s.Swap(e1, e2)
 		s.Swap(e1, e2)
 	}
-	// Warm up: the boundary index reaches its high-water mark on the first
-	// round trip; everything after is in-place.
 	for i := 0; i < 16; i++ {
 		roundTrip()
 	}

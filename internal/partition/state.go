@@ -59,10 +59,11 @@ type State struct {
 	totalReplicas int
 	spannedCount  int
 
-	// Boundary-edge index with O(1) swap-removal: boundary holds the member
-	// edge ids in arbitrary order, bpos[e] is e's index or -1.
-	boundary []graph.EdgeID
-	bpos     []int32
+	// Boundary-edge index: inBoundary[e] is e's membership, numBoundary
+	// the member count. Consumers that need the members walk inBoundary
+	// in edge-id order.
+	inBoundary  []bool
+	numBoundary int
 
 	ops int64 // mutation counter driving the sampled invariant check
 }
@@ -83,11 +84,11 @@ func NewState(g *graph.Graph, a *Assignment) (*State, error) {
 	n := g.NumVertices()
 	p := a.P()
 	s := &State{
-		g:        g,
-		a:        a,
-		p:        p,
-		replicas: make([]int32, n),
-		bpos:     make([]int32, g.NumEdges()),
+		g:          g,
+		a:          a,
+		p:          p,
+		replicas:   make([]int32, n),
+		inBoundary: make([]bool, g.NumEdges()),
 	}
 	if p <= 64 {
 		s.counts = make([]int32, n*p)
@@ -115,10 +116,8 @@ func NewState(g *graph.Graph, a *Assignment) (*State, error) {
 	}
 	for id, e := range g.Edges() {
 		if s.replicas[e.U] >= 2 || s.replicas[e.V] >= 2 {
-			s.bpos[id] = int32(len(s.boundary))
-			s.boundary = append(s.boundary, graph.EdgeID(id))
-		} else {
-			s.bpos[id] = -1
+			s.inBoundary[id] = true
+			s.numBoundary++
 		}
 	}
 	return s, nil
@@ -142,6 +141,12 @@ func (s *State) Count(v graph.Vertex, k int) int {
 	if s.counts != nil {
 		return int(s.counts[int(v)*s.p+k])
 	}
+	return s.sparseCount(v, k)
+}
+
+// sparseCount is Count's p > 64 branch, split out so the dense lookup
+// inlines at its call sites.
+func (s *State) sparseCount(v graph.Vertex, k int) int {
 	row := s.sparse[v]
 	i := sort.Search(len(row), func(i int) bool { return row[i].k >= int32(k) })
 	if i < len(row) && row[i].k == int32(k) {
@@ -163,6 +168,25 @@ func (s *State) Partitions(v graph.Vertex, buf []int) []int {
 		buf = append(buf, int(pc.k))
 	}
 	return buf
+}
+
+// MaskWords returns the length of a replica-set bitset: ceil(p/64) words,
+// so one word in the dense p <= 64 regime.
+func (s *State) MaskWords() int { return (s.p + 63) / 64 }
+
+// Mask writes v's replica set into dst (MaskWords long) as a bitset: bit
+// k%64 of word k/64 is set iff Has(v, k). The dense representation copies
+// its presence word; the sparse one (p > 64) sets one bit per entry of v's
+// sorted slice, so callers get one membership test for both.
+func (s *State) Mask(v graph.Vertex, dst []uint64) {
+	if s.bits != nil {
+		dst[0] = s.bits[v]
+		return
+	}
+	clear(dst)
+	for _, pc := range s.sparse[v] {
+		dst[pc.k>>6] |= uint64(1) << uint(pc.k&63)
+	}
 }
 
 // TotalReplicas returns sum_k |V(P_k)|, maintained incrementally.
@@ -190,21 +214,10 @@ func (s *State) Balance() float64 {
 }
 
 // NumBoundary returns the current boundary-edge count.
-func (s *State) NumBoundary() int { return len(s.boundary) }
+func (s *State) NumBoundary() int { return s.numBoundary }
 
 // IsBoundary reports whether edge e has a spanned endpoint.
-func (s *State) IsBoundary(e graph.EdgeID) bool { return s.bpos[e] != -1 }
-
-// AppendBoundary appends the boundary edges to buf in ascending edge-id
-// order (the internal index is swap-mutated, so it is sorted here: every
-// deterministic consumer needs this order anyway) and returns the slice.
-func (s *State) AppendBoundary(buf []graph.EdgeID) []graph.EdgeID {
-	start := len(buf)
-	buf = append(buf, s.boundary...)
-	out := buf[start:]
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return buf
-}
+func (s *State) IsBoundary(e graph.EdgeID) bool { return s.inBoundary[e] }
 
 // MoveDelta returns the change in TotalReplicas that Move(e, to) would
 // cause, without mutating anything. Negative is an improvement. The two
@@ -311,9 +324,9 @@ func (s *State) flipSpanned(v graph.Vertex, spanned bool) {
 	if spanned {
 		s.spannedCount++
 		for _, e := range eids {
-			if s.bpos[e] == -1 {
-				s.bpos[e] = int32(len(s.boundary))
-				s.boundary = append(s.boundary, e)
+			if !s.inBoundary[e] {
+				s.inBoundary[e] = true
+				s.numBoundary++
 			}
 		}
 		return
@@ -324,13 +337,8 @@ func (s *State) flipSpanned(v graph.Vertex, spanned bool) {
 		if s.replicas[nbrs[i]] >= 2 {
 			continue
 		}
-		// O(1) swap-removal mirroring the alive-adjacency idiom.
-		pos := s.bpos[e]
-		last := s.boundary[len(s.boundary)-1]
-		s.boundary[pos] = last
-		s.bpos[last] = pos
-		s.boundary = s.boundary[:len(s.boundary)-1]
-		s.bpos[e] = -1
+		s.inBoundary[e] = false
+		s.numBoundary--
 	}
 }
 
@@ -424,20 +432,15 @@ func (s *State) AssertConsistent() {
 	nb := 0
 	for id, e := range s.g.Edges() {
 		want := fresh[e.U] >= 2 || fresh[e.V] >= 2
-		got := s.bpos[id] != -1
+		got := s.inBoundary[id]
 		invariants.Assertf(want == got,
 			"edge %d: boundary-index membership %v, recomputed %v", id, got, want)
 		if want {
 			nb++
 		}
-		if got {
-			pos := s.bpos[id]
-			invariants.Assertf(int(pos) < len(s.boundary) && s.boundary[pos] == graph.EdgeID(id),
-				"edge %d: bpos %d does not point back at the edge", id, pos)
-		}
 	}
-	invariants.Assertf(nb == len(s.boundary),
-		"boundary index holds %d edges, recomputation found %d", len(s.boundary), nb)
+	invariants.Assertf(nb == s.numBoundary,
+		"boundary index counts %d edges, recomputation found %d", s.numBoundary, nb)
 	for v := range fresh {
 		invariants.Assertf(s.countReplicas(graph.Vertex(v)) == fresh[v],
 			"vertex %d: representation replica count %d, recomputed %d",

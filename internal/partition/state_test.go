@@ -209,7 +209,34 @@ func TestStatePartitionsAndCounts(t *testing.T) {
 	}
 }
 
-func TestStateAppendBoundarySorted(t *testing.T) {
+func TestStateMaskMatchesHas(t *testing.T) {
+	for _, p := range []int{5, 64, 65, 130} {
+		r := rng.New(uint64(p))
+		g, a := randomTestGraph(r, 40, 200, p)
+		s, err := NewState(g, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			s.Move(graph.EdgeID(r.Intn(g.NumEdges())), r.Intn(p))
+		}
+		mask := make([]uint64, s.MaskWords())
+		for v := 0; v < g.NumVertices(); v++ {
+			for i := range mask {
+				mask[i] = ^uint64(0) // Mask must overwrite stale bits
+			}
+			s.Mask(graph.Vertex(v), mask)
+			for k := 0; k < 64*len(mask); k++ {
+				got := mask[k/64]>>(k%64)&1 == 1
+				if want := k < p && s.Has(graph.Vertex(v), k); got != want {
+					t.Fatalf("p=%d vertex %d partition %d: mask bit %v, Has %v", p, v, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestStateBoundaryIndex(t *testing.T) {
 	r := rng.New(17)
 	g, a := randomTestGraph(r, 30, 60, 5)
 	s, err := NewState(g, a)
@@ -219,19 +246,18 @@ func TestStateAppendBoundarySorted(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		s.Move(graph.EdgeID(r.Intn(g.NumEdges())), r.Intn(5))
 	}
-	b := s.AppendBoundary(nil)
-	if len(b) != s.NumBoundary() {
-		t.Fatalf("AppendBoundary returned %d edges, NumBoundary is %d", len(b), s.NumBoundary())
-	}
-	for i := 1; i < len(b); i++ {
-		if b[i-1] >= b[i] {
-			t.Fatalf("boundary not strictly ascending at %d: %v", i, b[i-1:i+1])
+	n := 0
+	for id, e := range g.Edges() {
+		want := s.Replicas(e.U) >= 2 || s.Replicas(e.V) >= 2
+		if got := s.IsBoundary(graph.EdgeID(id)); got != want {
+			t.Fatalf("edge %d: IsBoundary %v, want %v", id, got, want)
+		}
+		if want {
+			n++
 		}
 	}
-	for _, e := range b {
-		if !s.IsBoundary(e) {
-			t.Fatalf("edge %d in snapshot but not IsBoundary", e)
-		}
+	if n != s.NumBoundary() {
+		t.Fatalf("%d edges are IsBoundary, NumBoundary is %d", n, s.NumBoundary())
 	}
 }
 

@@ -9,11 +9,10 @@ import (
 )
 
 // TestHotPathAllocs_RefineScoring is the cross-check named by the
-// //graphpart:hotpath annotations on scoreVacate, vacateGain and scoreSide.
-// The vacate pair works entirely in caller scratch, so steady-state calls
-// allocate nothing. scoreSide returns a fresh candidate list by contract;
-// its assertion is that the allocation count is a small constant —
-// independent of how many edges are scored — not zero.
+// //graphpart:hotpath annotations on scoreVacate, vacateGain and scanSwaps.
+// The vacate pair works entirely in caller scratch, and the swap scan
+// refills buckets that keep their capacity from one pass to the next, so
+// once warmed neither allocates at all.
 func TestHotPathAllocs_RefineScoring(t *testing.T) {
 	g := randomGraph(5, 200, 400)
 	const p = 8
@@ -26,7 +25,7 @@ func TestHotPathAllocs_RefineScoring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := &runner{g: g, st: st, capC: g.NumEdges(), minGain: 1, workers: 1}
+	run := newRunner(g, st, g.NumEdges(), 1, 1)
 
 	var v graph.Vertex
 	found := false
@@ -39,31 +38,22 @@ func TestHotPathAllocs_RefineScoring(t *testing.T) {
 	if !found {
 		t.Fatal("random assignment produced no spanned vertex")
 	}
-	parts := make([]int, 0, p)
-	others := make(map[int][]graph.Vertex, p)
+	sc := run.newVacScratch()
 	edges := make([]graph.EdgeID, 0, g.NumEdges())
-	_ = run.scoreVacate(v, parts, others) // warm the scratch map's slices
-	pp := st.Partitions(v, parts)
+	pp := st.Partitions(v, nil)
 	from, to := pp[0], pp[1]
 	if allocs := testing.AllocsPerRun(300, func() {
-		_ = run.scoreVacate(v, parts, others)
+		_ = run.scoreVacate(v, sc)
 		_, edges = run.vacateGain(v, from, to, edges[:0])
 	}); allocs != 0 {
 		t.Fatalf("vacate scoring allocates %.1f times per call pair", allocs)
 	}
 
-	bnd := st.AppendBoundary(nil)
-	if len(bnd) < 20 {
-		t.Fatalf("boundary too small to measure: %d edges", len(bnd))
+	if st.NumBoundary() < 20 {
+		t.Fatalf("boundary too small to measure: %d edges", st.NumBoundary())
 	}
-	measure := func(edges []graph.EdgeID) float64 {
-		return testing.AllocsPerRun(300, func() {
-			_ = scoreSide(st, edges, to)
-		})
-	}
-	aSmall, aLarge := measure(bnd[:10]), measure(bnd)
-	if aSmall != aLarge || aLarge > 2 {
-		t.Fatalf("scoreSide allocations must be a small constant: %d edges -> %.1f, %d edges -> %.1f",
-			10, aSmall, len(bnd), aLarge)
+	run.scanSwaps() // first pass grows the buckets to their high-water mark
+	if allocs := testing.AllocsPerRun(50, run.scanSwaps); allocs != 0 {
+		t.Fatalf("swap scan allocates %.1f times per pass", allocs)
 	}
 }

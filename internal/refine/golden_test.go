@@ -43,7 +43,10 @@ type refineGoldenCase struct {
 // refineGoldenCases were captured from the initial move/swap refiner (graph
 // seed 42, partitioner seed 42 throughout, default refine options). They are
 // the oracle: future changes to the refiner that alter any hash are visible
-// behaviour changes and must be flagged as such, not absorbed silently.
+// behaviour changes and must be flagged as such, not absorbed silently. The
+// two p=100 cases run on partition.State's sparse (p > 64) replica-set
+// representation; they were captured from the per-pair scorer that preceded
+// the once-per-pass scan.
 var refineGoldenCases = []refineGoldenCase{
 	{"G1s", "random", 4, 0x662ccfa592b77815},
 	{"G1s", "random", 8, 0x0edfa8016e96b990},
@@ -52,6 +55,8 @@ var refineGoldenCases = []refineGoldenCase{
 	{"G2s", "hdrf", 8, 0xd807120a83c677a7},
 	{"G1s", "tlp", 4, 0x13f923b09652d427},
 	{"G3s", "tlp", 8, 0x17d80448860d2a97},
+	{"G1s", "random", 100, 0xecfca12d963223c8},
+	{"G1s", "tlp", 100, 0xb75b0686d7041a1a},
 }
 
 // refineGoldenGraph resolves a dataset notation to its deterministic graph.

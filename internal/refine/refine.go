@@ -5,20 +5,31 @@
 // into another partition the vertex already occupies, and boundary-edge
 // swaps exchange edges between partition pairs when the combined replica
 // reduction is positive, which improves RF without touching any load. Both
-// neighbourhoods run on the incremental partition.State, so every gain is an
-// O(1) count lookup and applying a move is O(1) amortized.
+// neighbourhoods run on the incremental partition.State, where applying a
+// move is O(1) amortized.
 //
-// Each pass scores candidates in parallel over the worker pool against the
-// phase-start state (reads only), then applies them in one sequential fold —
-// moves in ascending vertex order, swaps in ascending (i, j) partition-pair
-// order — re-evaluating every candidate's exact gain against the live state
-// at application time. Stale candidates are skipped, never mis-applied, so
-// the result is bit-identical for any worker count.
+// Each phase of a pass scores candidates against the phase-start state
+// (reads only), then applies them in one sequential fold — moves in
+// ascending vertex order, swaps in ascending (i, j) partition-pair order —
+// re-evaluating every candidate's exact gain against the live state at
+// application time. Stale candidates are skipped, never mis-applied.
+//
+// Scoring reads the state once per gain term, not once per candidate
+// target. The move phase walks each spanned vertex's incident edges once,
+// filling per-partition loads, leave counts and shared-partition counts from
+// which every (from, to) gain is one subtraction; vertices are scored in
+// parallel chunks with per-chunk scratch. The swap phase is one sequential
+// ascending scan over the boundary edges: an edge's leave term is computed
+// once, its gain towards every other partition (2, 1 or 0 after the missing
+// endpoints) is read off the endpoints' replica bitsets, and the edge is
+// filed into capped (side, target, gain) buckets whose concatenation is the
+// gain-sorted candidate list. The result is bit-identical for any worker
+// count.
 package refine
 
 import (
 	"fmt"
-	"sort"
+	mathbits "math/bits"
 
 	"github.com/graphpart/graphpart/internal/graph"
 	"github.com/graphpart/graphpart/internal/invariants"
@@ -111,7 +122,7 @@ func Run(g *graph.Graph, a *partition.Assignment, opts Options) (Stats, error) {
 		obs.Int("capacity", capC), obs.Int("workers", workers),
 		obs.Int("boundary", st.NumBoundary()))
 	budget := obs.StartWatch()
-	r := &runner{g: g, st: st, capC: capC, minGain: minGain, workers: workers}
+	r := newRunner(g, st, capC, minGain, workers)
 	for pass := 0; pass < maxPasses; pass++ {
 		if opts.MaxSeconds > 0 && budget.Seconds() > opts.MaxSeconds {
 			break
@@ -149,13 +160,48 @@ func Run(g *graph.Graph, a *partition.Assignment, opts Options) (Stats, error) {
 	return stats, nil
 }
 
-// runner carries one Run invocation's shared search context.
+// runner carries one Run invocation's shared search context and the scoring
+// scratch every pass reuses.
 type runner struct {
 	g       *graph.Graph
 	st      *partition.State
+	p       int
+	words   int // replica-set bitset length, st.MaskWords()
 	capC    int
 	minGain int
 	workers int
+
+	// Move phase: the pass's spanned vertices, their scored candidates, one
+	// scratch per scoring chunk, and the application fold's edge buffer.
+	spanned []graph.Vertex
+	cands   []vacate
+	vac     []*vacScratch
+	edges   []graph.EdgeID
+
+	// Swap phase. buckets[(i*p+j)*3+g] lists, in ascending edge id, the
+	// side-i boundary edges whose move to j gains exactly g;
+	// open[(i*3+g)*words+j/64] has bit j%64 set while that bucket can still
+	// reach the first maxSwapCandidates of (i, j)'s gain-sorted list. mu, mv
+	// hold the scanned edge's endpoint replica sets; ci, cj the ranked lists
+	// of the pair being applied.
+	buckets [][]graph.EdgeID
+	open    []uint64
+	mu, mv  []uint64
+	ci, cj  []swapCand
+}
+
+func newRunner(g *graph.Graph, st *partition.State, capC, minGain, workers int) *runner {
+	p, words := st.P(), st.MaskWords()
+	return &runner{
+		g: g, st: st, p: p, words: words,
+		capC: capC, minGain: minGain, workers: workers,
+		buckets: make([][]graph.EdgeID, p*p*3),
+		open:    make([]uint64, p*3*words),
+		mu:      make([]uint64, words),
+		mv:      make([]uint64, words),
+		ci:      make([]swapCand, 0, maxSwapCandidates),
+		cj:      make([]swapCand, 0, maxSwapCandidates),
+	}
 }
 
 // vacate is one scored per-vertex move candidate: shift all of v's edges in
@@ -166,39 +212,67 @@ type vacate struct {
 	gain     int32
 }
 
+// vacScratch is one move-phase chunk's scoring scratch, indexed by
+// partition id. scoreVacate resets only the cells of the scored vertex's
+// own partitions, so a call costs O(deg + replicas²), never O(p²).
+type vacScratch struct {
+	parts []int
+	load  []int32 // load[k]: v's edges in k
+	leave []int32 // leave[k]: v's k-edges whose far endpoint has no other edge in k
+	hit   []int32 // hit[from*p+to]: v's from-edges whose far endpoint is also in to
+	mv    []uint64
+	mu    []uint64
+}
+
+func (r *runner) newVacScratch() *vacScratch {
+	return &vacScratch{
+		parts: make([]int, 0, r.p),
+		load:  make([]int32, r.p),
+		leave: make([]int32, r.p),
+		hit:   make([]int32, r.p*r.p),
+		mv:    make([]uint64, r.words),
+		mu:    make([]uint64, r.words),
+	}
+}
+
 // movePhase scores the best vacate move of every spanned vertex in parallel
-// against the phase-start state, then applies them in ascending vertex order
-// with exact re-evaluation, so earlier applications invalidate later
-// candidates safely (the re-check skips them). Returns applied moves, edges
-// reassigned and replicas removed.
+// chunks against the phase-start state, then applies them in ascending
+// vertex order with exact re-evaluation, so earlier applications invalidate
+// later candidates safely (the re-check skips them). Returns applied moves,
+// edges reassigned and replicas removed.
 func (r *runner) movePhase() (moves, edgesMoved, gainTotal int) {
 	st := r.st
-	spanned := make([]graph.Vertex, 0, st.SpannedVertices())
+	r.spanned = r.spanned[:0]
 	for v := 0; v < r.g.NumVertices(); v++ {
 		if st.Replicas(graph.Vertex(v)) >= 2 {
-			spanned = append(spanned, graph.Vertex(v))
+			r.spanned = append(r.spanned, graph.Vertex(v))
 		}
 	}
+	spanned := r.spanned
 	if len(spanned) == 0 {
 		return 0, 0, 0
 	}
-	cands := make([]vacate, len(spanned))
+	if cap(r.cands) < len(spanned) {
+		r.cands = make([]vacate, len(spanned))
+	}
+	cands := r.cands[:len(spanned)]
 	chunks := parallel.Chunks(len(spanned), r.workers)
+	for len(r.vac) < len(chunks) {
+		r.vac = append(r.vac, r.newVacScratch())
+	}
 	parallel.ForEach(len(chunks), r.workers, func(c int) {
-		var parts []int
-		others := make(map[int][]graph.Vertex, 4)
+		sc := r.vac[c]
 		for i := chunks[c][0]; i < chunks[c][1]; i++ {
-			cands[i] = r.scoreVacate(spanned[i], parts[:0], others)
+			cands[i] = r.scoreVacate(spanned[i], sc)
 		}
 	})
-	var edges []graph.EdgeID
 	for i, v := range spanned {
 		cand := cands[i]
 		if cand.from < 0 {
 			continue
 		}
-		gain, got := r.vacateGain(v, int(cand.from), int(cand.to), edges[:0])
-		edges = got
+		gain, edges := r.vacateGain(v, int(cand.from), int(cand.to), r.edges[:0])
+		r.edges = edges
 		if gain < r.minGain || len(edges) == 0 {
 			continue
 		}
@@ -221,43 +295,55 @@ func (r *runner) movePhase() (moves, edgesMoved, gainTotal int) {
 }
 
 // scoreVacate finds v's best (from, to, gain) vacate candidate against the
-// current state: highest gain, ties to the smallest from then to. The caller
-// passes scratch buffers; `others` maps each of v's partitions to the far
-// endpoints of v's edges there and is wiped per call.
+// current state: highest gain, ties to the smallest from then to. One walk
+// over v's incident edges reads each far endpoint u once — its count in the
+// edge's partition k and its replica bitset — and fills sc. Then
+// gain(from, to) = 1 + leave[from] - miss(from, to): v always leaves
+// `from`, `to` is already one of v's partitions, and each from-edge whose
+// far endpoint is absent from `to` adds a replica there. The walk counts
+// the present endpoints (mask(v) & mask(u)) rather than the absent ones, so
+// miss(from, to) = load[from] - hit[from][to] costs O(replicas(u)) per edge,
+// not O(replicas(v)): a hub's neighbours sit in few partitions.
 //
 //graphpart:hotpath test=TestHotPathAllocs_RefineScoring
-func (r *runner) scoreVacate(v graph.Vertex, parts []int, others map[int][]graph.Vertex) vacate {
-	st := r.st
-	parts = st.Partitions(v, parts)
-	for _, k := range parts {
-		others[k] = others[k][:0]
+func (r *runner) scoreVacate(v graph.Vertex, sc *vacScratch) vacate {
+	st, p := r.st, r.p
+	sc.parts = st.Partitions(v, sc.parts[:0])
+	for _, k := range sc.parts {
+		sc.load[k], sc.leave[k] = 0, 0
+		row := sc.hit[k*p : (k+1)*p]
+		for _, t := range sc.parts {
+			row[t] = 0
+		}
 	}
+	st.Mask(v, sc.mv)
 	nbrs := r.g.Neighbors(v)
-	eids := r.g.IncidentEdges(v)
-	for i, eid := range eids {
+	for i, eid := range r.g.IncidentEdges(v) {
 		k, _ := st.Assignment().PartitionOf(eid)
-		others[k] = append(others[k], nbrs[i])
+		u := nbrs[i]
+		sc.load[k]++
+		if st.Count(u, k) == 1 {
+			sc.leave[k]++
+		}
+		st.Mask(u, sc.mu)
+		row := sc.hit[k*p : (k+1)*p]
+		for w, vb := range sc.mv {
+			for b := vb & sc.mu[w]; b != 0; b &= b - 1 {
+				row[w<<6+mathbits.TrailingZeros64(b)]++
+			}
+		}
 	}
 	best := vacate{from: -1}
-	for _, from := range parts {
-		us := others[from]
-		load := len(us)
-		for _, to := range parts {
+	for _, from := range sc.parts {
+		load := int(sc.load[from])
+		for _, to := range sc.parts {
 			if to == from {
 				continue
 			}
 			if st.Assignment().Load(to)+load > r.capC {
 				continue
 			}
-			gain := 1 // v always leaves `from`; `to` is already one of v's partitions
-			for _, u := range us {
-				if st.Count(u, from) == 1 {
-					gain++
-				}
-				if st.Count(u, to) == 0 {
-					gain--
-				}
-			}
+			gain := 1 + int(sc.leave[from]) - (load - int(sc.hit[from*p+to]))
 			if gain >= r.minGain && (best.from < 0 || int32(gain) > best.gain) {
 				best = vacate{from: int32(from), to: int32(to), gain: int32(gain)}
 			}
@@ -303,117 +389,135 @@ type swapCand struct {
 	gain int32
 }
 
-// proposal pairs two boundary edges for exchange between partitions i and j.
-type proposal struct {
-	e1, e2 graph.EdgeID
-}
-
-// swapPhase proposes boundary-edge exchanges for every partition pair in
-// parallel — each side's candidates gain-scored against the phase-start
-// state, sorted (gain desc, edge id asc) and rank-paired — then applies them
-// in ascending pair order with exact re-evaluation: the first move of a pair
-// is applied, the second evaluated against that intermediate state, and the
+// swapPhase proposes boundary-edge exchanges for every partition pair —
+// each side's candidates gain-ranked (gain desc, edge id asc) by scanSwaps
+// against the phase-start state and rank-paired — then applies them in
+// ascending pair order with exact re-evaluation: the first move of a pair is
+// applied, the second evaluated against that intermediate state, and the
 // pair reverted when the combined realized gain falls short. Swaps never
 // change a load, so capacity is preserved by construction.
 func (r *runner) swapPhase() (swaps, gainTotal int) {
 	st := r.st
-	snap := st.AppendBoundary(nil)
-	if len(snap) == 0 {
+	if st.NumBoundary() == 0 {
 		return 0, 0
 	}
-	p := st.P()
-	byPart := make([][]graph.EdgeID, p)
-	for _, e := range snap {
-		k, _ := st.Assignment().PartitionOf(e)
-		byPart[k] = append(byPart[k], e) // ascending within k: snap is sorted
-	}
-	var pairs [][2]int
-	for i := 0; i < p; i++ {
-		if len(byPart[i]) == 0 {
-			continue
-		}
-		for j := i + 1; j < p; j++ {
-			if len(byPart[j]) > 0 {
-				pairs = append(pairs, [2]int{i, j})
+	r.scanSwaps()
+	for i := 0; i < r.p; i++ {
+		for j := i + 1; j < r.p; j++ {
+			r.ci = r.ranked(i, j, r.ci[:0])
+			r.cj = r.ranked(j, i, r.cj[:0])
+			for t := 0; t < len(r.ci) && t < len(r.cj); t++ {
+				c1, c2 := r.ci[t], r.cj[t]
+				if int(c1.gain+c2.gain) < r.minGain {
+					break // both lists are gain-sorted, so no later rank can reach MinGain
+				}
+				k1, _ := st.Assignment().PartitionOf(c1.e)
+				k2, _ := st.Assignment().PartitionOf(c2.e)
+				if k1 != i || k2 != j {
+					continue // a previous application already moved one side
+				}
+				g1 := -st.Move(c1.e, j)
+				g2 := -st.MoveDelta(c2.e, i)
+				if g1+g2 < r.minGain {
+					st.Move(c1.e, i) // revert; exactly restores the pre-swap state
+					continue
+				}
+				g2 = -st.Move(c2.e, i)
+				swaps++
+				gainTotal += g1 + g2
 			}
-		}
-	}
-	if len(pairs) == 0 {
-		return 0, 0
-	}
-	props := parallel.Map(len(pairs), r.workers, func(pi int) []proposal {
-		i, j := pairs[pi][0], pairs[pi][1]
-		ci := scoreSide(st, byPart[i], j)
-		if len(ci) == 0 {
-			return nil
-		}
-		cj := scoreSide(st, byPart[j], i)
-		n := len(ci)
-		if len(cj) < n {
-			n = len(cj)
-		}
-		var out []proposal
-		for t := 0; t < n; t++ {
-			if int(ci[t].gain+cj[t].gain) < r.minGain {
-				break // both lists are gain-sorted, so no later rank can reach MinGain
-			}
-			out = append(out, proposal{e1: ci[t].e, e2: cj[t].e})
-		}
-		return out
-	})
-	for pi, list := range props {
-		i, j := pairs[pi][0], pairs[pi][1]
-		for _, pr := range list {
-			k1, _ := st.Assignment().PartitionOf(pr.e1)
-			k2, _ := st.Assignment().PartitionOf(pr.e2)
-			if k1 != i || k2 != j {
-				continue // a previous application already moved one side
-			}
-			g1 := -st.Move(pr.e1, j)
-			g2 := -st.MoveDelta(pr.e2, i)
-			if g1+g2 < r.minGain {
-				st.Move(pr.e1, i) // revert; exactly restores the pre-swap state
-				continue
-			}
-			g2 = -st.Move(pr.e2, i)
-			swaps++
-			gainTotal += g1 + g2
 		}
 	}
 	return swaps, gainTotal
 }
 
-// scoreSide gain-scores side edges for a move into partition `to` against
-// the phase-start state, returning at most maxSwapCandidates candidates with
-// non-negative gain, ordered (gain desc, edge id asc). A zero-gain edge is
-// kept: paired with a positive-gain partner the exchange still wins.
+// scanSwaps scores every boundary edge against the phase-start state in one
+// ascending edge-id scan and files it into the swap buckets. An edge e in
+// partition i gains leave - missing by moving to j, where leave counts the
+// endpoints whose only i-edge is e and missing those absent from j. Only
+// non-negative gains are kept (a zero-gain edge can still pair with a
+// positive partner), so every gain is 2, 1 or 0, and edges arrive in
+// ascending id: the gain-2, gain-1 and gain-0 buckets of (i, j)
+// concatenated are the (gain desc, id asc) order, and a bucket closes as
+// soon as it can no longer reach that order's first maxSwapCandidates.
 //
 //graphpart:hotpath test=TestHotPathAllocs_RefineScoring
-func scoreSide(st *partition.State, edges []graph.EdgeID, to int) []swapCand {
-	out := make([]swapCand, 0, len(edges))
-	for _, e := range edges {
-		if g := -st.MoveDelta(e, to); g >= 0 {
-			out = append(out, swapCand{e: e, gain: int32(g)})
+func (r *runner) scanSwaps() {
+	st, p, words := r.st, r.p, r.words
+	for b := range r.buckets {
+		r.buckets[b] = r.buckets[b][:0]
+	}
+	for i := 0; i < p; i++ {
+		for g := 0; g < 3; g++ {
+			open := r.open[(i*3+g)*words : (i*3+g+1)*words]
+			for w := range open {
+				open[w] = ^uint64(0)
+			}
+			if rem := p & 63; rem != 0 {
+				open[words-1] = uint64(1)<<uint(rem) - 1
+			}
+			open[i>>6] &^= uint64(1) << uint(i&63)
 		}
 	}
-	sort.Sort(swapCandsByGain(out))
-	if len(out) > maxSwapCandidates {
-		out = out[:maxSwapCandidates]
+	for id := 0; id < r.g.NumEdges(); id++ {
+		e := graph.EdgeID(id)
+		if !st.IsBoundary(e) {
+			continue
+		}
+		i, _ := st.Assignment().PartitionOf(e)
+		ed := r.g.Edge(e)
+		leave := 0
+		if st.Count(ed.U, i) == 1 {
+			leave++
+		}
+		if st.Count(ed.V, i) == 1 {
+			leave++
+		}
+		st.Mask(ed.U, r.mu)
+		st.Mask(ed.V, r.mv)
+		for w := 0; w < words; w++ {
+			mu, mv := r.mu[w], r.mv[w]
+			r.fileTargets(e, i, w, leave, mu&mv) // both endpoints present
+			if leave >= 1 {
+				r.fileTargets(e, i, w, leave-1, mu^mv) // one missing
+			}
+			if leave == 2 {
+				r.fileTargets(e, i, w, 0, ^(mu | mv)) // both missing
+			}
+		}
 	}
-	return out
 }
 
-// swapCandsByGain orders candidates gain-descending with edge id as the
-// strict tiebreak — the same total order the sort.Slice closure used to
-// encode, now as a concrete sort.Interface so scoreSide stays off the
-// reflection path and allocation-constant per call.
-type swapCandsByGain []swapCand
-
-func (s swapCandsByGain) Len() int      { return len(s) }
-func (s swapCandsByGain) Swap(a, b int) { s[a], s[b] = s[b], s[a] }
-func (s swapCandsByGain) Less(a, b int) bool {
-	if s[a].gain != s[b].gain {
-		return s[a].gain > s[b].gain
+// fileTargets appends e to bucket (i, j, g) for every target j of bitset
+// word w in targets whose bucket is still open, closing each bucket of gain
+// h <= g once the buckets of gain >= h hold maxSwapCandidates edges: any
+// later gain-h edge ranks behind all of them.
+func (r *runner) fileTargets(e graph.EdgeID, i, w, g int, targets uint64) {
+	for b := targets & r.open[(i*3+g)*r.words+w]; b != 0; b &= b - 1 {
+		j := w<<6 + mathbits.TrailingZeros64(b)
+		base := (i*r.p + j) * 3
+		r.buckets[base+g] = append(r.buckets[base+g], e)
+		n := 0
+		for h := 2; h >= 0; h-- {
+			n += len(r.buckets[base+h])
+			if h <= g && n >= maxSwapCandidates {
+				r.open[(i*3+h)*r.words+w] &^= uint64(1) << uint(j&63)
+			}
+		}
 	}
-	return s[a].e < s[b].e
+}
+
+// ranked appends side i's candidates for a move to j to dst in (gain desc,
+// edge id asc) order, at most maxSwapCandidates of them.
+func (r *runner) ranked(i, j int, dst []swapCand) []swapCand {
+	base := (i*r.p + j) * 3
+	for g := 2; g >= 0; g-- {
+		for _, e := range r.buckets[base+g] {
+			if len(dst) == maxSwapCandidates {
+				return dst
+			}
+			dst = append(dst, swapCand{e: e, gain: int32(g)})
+		}
+	}
+	return dst
 }
