@@ -83,7 +83,7 @@ func run() error {
 	if *traceOut != "" || *metrics != "" {
 		graphpart.EnableTelemetry()
 	}
-	ct, err := runBody(*input, *dataset, *algo, *p, *r, *seed,
+	ct, err := runBody(os.Stdout, *input, *dataset, *algo, *p, *r, *seed,
 		*stats, *doRef, *report, *stream, *winSize, *dense, *runProg, *maxSS, *trans)
 	if err != nil {
 		return err
@@ -92,23 +92,23 @@ func run() error {
 }
 
 // runBody is the CLI body behind the flags: load, partition, report,
-// optionally hand off to the engine or the streaming path. The returned
+// optionally hand off to the engine or the streaming path, writing to out. The returned
 // ClusterTelemetry is non-nil only for a traced -transport tcp run.
-func runBody(input, dataset, algo string, p int, r float64, seed uint64,
+func runBody(out io.Writer, input, dataset, algo string, p int, r float64, seed uint64,
 	stats, doRef bool, report string, stream bool, winSize int, dense bool,
 	runProg string, maxSS int, transport string) (*graphpart.ClusterTelemetry, error) {
 	if stream {
 		if runProg != "" {
 			return nil, fmt.Errorf("-run needs a materialised graph and cannot be combined with -stream")
 		}
-		return nil, runStream(os.Stdout, input, dataset, strings.ToLower(algo), p, seed, winSize, dense)
+		return nil, runStream(out, input, dataset, strings.ToLower(algo), p, seed, winSize, dense)
 	}
 
 	g, err := loadGraph(input, dataset, seed)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("graph: %s\n", graphpart.ComputeGraphStats(g))
+	fmt.Fprintf(out, "graph: %s\n", graphpart.ComputeGraphStats(g))
 
 	watch := graphpart.StartWatch()
 	var a *graphpart.Assignment
@@ -156,7 +156,7 @@ func runBody(input, dataset, algo string, p int, r float64, seed uint64,
 		if err != nil {
 			return nil, err
 		}
-		fmt.Printf("refine: %d passes, %d moves (%d edges), %d swaps, %d replicas removed, RF %.4f -> %.4f\n",
+		fmt.Fprintf(out, "refine: %d passes, %d moves (%d edges), %d swaps, %d replicas removed, RF %.4f -> %.4f\n",
 			rs.Passes, rs.Moves, rs.EdgesMoved, rs.Swaps, rs.ReplicasRemoved, rs.RFBefore, rs.RFAfter)
 	}
 
@@ -164,11 +164,11 @@ func runBody(input, dataset, algo string, p int, r float64, seed uint64,
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("algorithm: %s  p=%d  time=%v\n", algo, p, elapsed.Round(time.Millisecond))
-	fmt.Printf("replication factor: %.4f\n", m.ReplicationFactor)
-	fmt.Printf("balance: %.4f (loads %d..%d, capacity %d)\n",
+	fmt.Fprintf(out, "algorithm: %s  p=%d  time=%v\n", algo, p, elapsed.Round(time.Millisecond))
+	fmt.Fprintf(out, "replication factor: %.4f\n", m.ReplicationFactor)
+	fmt.Fprintf(out, "balance: %.4f (loads %d..%d, capacity %d)\n",
 		m.Balance, m.MinLoad, m.MaxLoad, graphpart.Capacity(g.NumEdges(), p))
-	fmt.Printf("spanned vertices: %d of %d\n", m.SpannedVertices, g.NumVertices())
+	fmt.Fprintf(out, "spanned vertices: %d of %d\n", m.SpannedVertices, g.NumVertices())
 	finite, inf := 0, 0
 	minMod, maxMod := math.Inf(1), math.Inf(-1)
 	for _, mod := range m.Modularity {
@@ -185,7 +185,7 @@ func runBody(input, dataset, algo string, p int, r float64, seed uint64,
 		}
 	}
 	if finite > 0 {
-		fmt.Printf("partition modularity: min %.3f, max %.3f (%d isolated partitions)\n", minMod, maxMod, inf)
+		fmt.Fprintf(out, "partition modularity: min %.3f, max %.3f (%d isolated partitions)\n", minMod, maxMod, inf)
 	}
 	switch report {
 	case "":
@@ -195,25 +195,25 @@ func runBody(input, dataset, algo string, p int, r float64, seed uint64,
 			return nil, err
 		}
 		if report == "json" {
-			if err := rep.WriteJSON(os.Stdout); err != nil {
+			if err := rep.WriteJSON(out); err != nil {
 				return nil, err
 			}
-		} else if err := rep.WriteText(os.Stdout); err != nil {
+		} else if err := rep.WriteText(out); err != nil {
 			return nil, err
 		}
 	default:
 		return nil, fmt.Errorf("unknown report format %q (text or json)", report)
 	}
 	if stats && tlpStats != nil {
-		fmt.Printf("stage I selections: %d (avg degree %.2f)\n",
+		fmt.Fprintf(out, "stage I selections: %d (avg degree %.2f)\n",
 			tlpStats.Stage1Selections, tlpStats.AvgDegreeStage1())
-		fmt.Printf("stage II selections: %d (avg degree %.2f)\n",
+		fmt.Fprintf(out, "stage II selections: %d (avg degree %.2f)\n",
 			tlpStats.Stage2Selections, tlpStats.AvgDegreeStage2())
-		fmt.Printf("reseeds: %d  partial absorptions: %d  swept edges: %d\n",
+		fmt.Fprintf(out, "reseeds: %d  partial absorptions: %d  swept edges: %d\n",
 			tlpStats.Reseeds, tlpStats.PartialAbsorptions, tlpStats.SweptEdges)
 	}
 	if runProg != "" {
-		return runEngine(os.Stdout, g, a, strings.ToLower(runProg), maxSS, transport)
+		return runEngine(out, g, a, strings.ToLower(runProg), maxSS, transport)
 	}
 	return nil, nil
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -66,19 +68,37 @@ func TestRunStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, algo := range []string{"hdrf", "random", "ldg", "tlpsw"} {
+	streamed := []string{"streaming, no CSR", "live heap growth:"}
+	rfLine := regexp.MustCompile(`replication factor: (\d+\.\d+)`)
+	for _, c := range []struct {
+		input, dataset, algo string
+		stream               bool
+		wants                []string
+	}{
+		{path, "", "hdrf", true, streamed},
+		{path, "", "random", true, streamed},
+		{path, "", "ldg", true, streamed},
+		{path, "", "tlpsw", true, append(streamed, "window: peak")},
+		// Sliding-window TLP over an in-memory dataset, without -stream.
+		{"", "G1", "tlpsw", false, []string{"graph:", "algorithm: tlpsw"}},
+	} {
 		var out bytes.Buffer
-		if err := runStream(&out, path, "", algo, 3, 7, 8, false); err != nil {
-			t.Fatalf("%s: %v", algo, err)
+		if _, err := runBody(&out, c.input, c.dataset, c.algo, 3, 0.5, 7,
+			false, false, "", c.stream, 8, false, "", 0, "mem"); err != nil {
+			t.Fatalf("%s (stream=%v): %v", c.algo, c.stream, err)
 		}
 		got := out.String()
-		for _, want := range []string{"streaming, no CSR", "replication factor:", "live heap growth:"} {
+		for _, want := range c.wants {
 			if !strings.Contains(got, want) {
-				t.Fatalf("%s output missing %q:\n%s", algo, want, got)
+				t.Fatalf("%s (stream=%v) output missing %q:\n%s", c.algo, c.stream, want, got)
 			}
 		}
-		if algo == "tlpsw" && !strings.Contains(got, "window: peak") {
-			t.Fatalf("tlpsw output missing window stats:\n%s", got)
+		m := rfLine.FindStringSubmatch(got)
+		if m == nil {
+			t.Fatalf("%s (stream=%v) output has no replication factor:\n%s", c.algo, c.stream, got)
+		}
+		if rf, err := strconv.ParseFloat(m[1], 64); err != nil || rf < 1 {
+			t.Fatalf("%s (stream=%v): replication factor %q (want >= 1)", c.algo, c.stream, m[1])
 		}
 	}
 

@@ -197,35 +197,6 @@ func TestPublicAPIRefine(t *testing.T) {
 	}
 }
 
-func TestPublicAPICluster(t *testing.T) {
-	g := buildTestGraph(t)
-	a, err := graphpart.NewTLP(graphpart.TLPOptions{Seed: 4}).Partition(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	values, stats, err := graphpart.RunDistributedPageRank(g, a, 0.85, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(values) != g.NumVertices() || stats.Supersteps == 0 {
-		t.Fatalf("bad cluster run: %d values, %d supersteps", len(values), stats.Supersteps)
-	}
-	// Raw BSP facade.
-	bstats, err := graphpart.RunBSP(graphpart.BSPConfig{Nodes: 2, MaxSupersteps: 3},
-		func(node, step int, inbox []graphpart.BSPMessage, send func(int, []byte)) bool {
-			if step == 0 {
-				send(1-node, []byte{byte(node)})
-			}
-			return step > 0
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bstats.NetworkMessages != 2 {
-		t.Fatalf("bsp messages %d, want 2", bstats.NetworkMessages)
-	}
-}
-
 func TestPublicAPISlidingWindowAndKL(t *testing.T) {
 	g := buildTestGraph(t)
 	for _, pt := range []graphpart.Partitioner{
@@ -243,10 +214,11 @@ func TestPublicAPISlidingWindowAndKL(t *testing.T) {
 }
 
 // TestPublicAPIPartitionerKeys pins the exact registry key set, including
-// the "flatkl" alias for "kl" and the "tlpsw" sliding-window key.
+// the "flatkl" and "tlpsw" keys, and requires one key per family: no two
+// entries may report the same Name().
 func TestPublicAPIPartitionerKeys(t *testing.T) {
 	want := []string{
-		"dbh", "fennel", "flatkl", "greedy", "hdrf", "kl",
+		"dbh", "fennel", "flatkl", "greedy", "hdrf",
 		"ldg", "metis", "random", "tlp", "tlpsw",
 	}
 	all := graphpart.AllPartitioners(7)
@@ -258,10 +230,13 @@ func TestPublicAPIPartitionerKeys(t *testing.T) {
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("AllPartitioners keys = %v, want %v", got, want)
 	}
-	// The alias must be the same algorithm under both keys.
-	if all["kl"].Name() != all["flatkl"].Name() {
-		t.Fatalf("kl (%s) and flatkl (%s) name different partitioners",
-			all["kl"].Name(), all["flatkl"].Name())
+	byName := make(map[string]string, len(all))
+	for _, key := range got {
+		name := all[key].Name()
+		if prev, dup := byName[name]; dup {
+			t.Fatalf("keys %q and %q both register the %s family", prev, key, name)
+		}
+		byName[name] = key
 	}
 }
 

@@ -38,8 +38,8 @@ const (
 )
 
 // Options configures a TLP (or TLP_R) run. The zero value gives the paper's
-// defaults: capacity C = ceil(m/p), reseeding on frontier exhaustion, and
-// exact Stage-I evaluation.
+// capacity C = ceil(m/p), reseeding on frontier exhaustion, and cached
+// Stage-I scores computed with exact intersections (see Stage1Exact).
 type Options struct {
 	// Seed drives every random choice (round seed vertices). Runs with
 	// equal seeds on equal graphs produce identical partitionings.
@@ -65,30 +65,11 @@ type Options struct {
 	// Stage1Exact forces recomputation of every frontier candidate's
 	// mu_s1 score at every Stage-I step (the paper's literal evaluation
 	// order). The default event-driven cache recomputes a candidate only
-	// when it gains a new partition neighbour, which can serve slightly
-	// stale scores when alive degrees drift; exact mode exists for tests
-	// and small graphs.
+	// when it gains a new partition neighbour, which serves stale scores
+	// when alive degrees drift, so the two modes select differently and
+	// give different RF (DESIGN.md deviation 7); exact mode exists for
+	// tests and small graphs.
 	Stage1Exact bool
-
-	// Stage1MemberCap bounds how many partition-side neighbours j are
-	// examined per mu_s1 evaluation (largest-overlap candidates are found
-	// early in CSR order; the cap trades fidelity for speed on hubs).
-	// Zero means unlimited.
-	Stage1MemberCap int
-
-	// Stage1NeighborCap bounds how many of j's neighbours are scanned per
-	// common-neighbour count, sampling evenly when j's alive degree
-	// exceeds the cap (the count is scaled back up). Zero means unlimited.
-	// Setting the cap routes every stage-I intersection through the legacy
-	// stride-sampling path (sampledOverlap) instead of the exact kernels.
-	Stage1NeighborCap int
-
-	// Workers bounds the goroutines of the stage-I parallel scoring
-	// fan-out. Zero resolves through GRAPHPART_WORKERS and then GOMAXPROCS
-	// (internal/parallel). The partitioning is bit-identical for every
-	// value: workers only compute index-addressed intersection counts, and
-	// the sequential fold consumes them in a fixed order.
-	Workers int
 }
 
 func (o Options) capacitySlack() float64 {
@@ -101,12 +82,6 @@ func (o Options) capacitySlack() float64 {
 func (o Options) validate() error {
 	if o.CapacitySlack != 0 && o.CapacitySlack < 1.0 {
 		return fmt.Errorf("core: capacity slack %v < 1 cannot cover the graph", o.CapacitySlack)
-	}
-	if o.Stage1MemberCap < 0 || o.Stage1NeighborCap < 0 {
-		return fmt.Errorf("core: negative stage-I caps")
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("core: negative worker count %d", o.Workers)
 	}
 	switch o.Stage1Policy {
 	case 0, PolicyMuS1, PolicyMaxDegree:
@@ -149,8 +124,7 @@ type Stats struct {
 }
 
 // KernelCounts tallies stage-I intersection evaluations per kernel. Every
-// kernel computes the same exact overlap except Sampled, the documented
-// Stage1NeighborCap stride approximation.
+// kernel computes the same exact overlap.
 type KernelCounts struct {
 	// Scan counts epoch-stamp scans over compacted alive rows.
 	Scan int64
@@ -161,8 +135,6 @@ type KernelCounts struct {
 	Word int64
 	// Gallop counts short-row-into-sorted-CSR binary-search intersections.
 	Gallop int64
-	// Sampled counts legacy Stage1NeighborCap stride-sampled evaluations.
-	Sampled int64
 }
 
 // AvgDegreeStage1 returns the average original-graph degree of the vertices

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"github.com/graphpart/graphpart/internal/graph"
-	"github.com/graphpart/graphpart/internal/parallel"
-)
+import "github.com/graphpart/graphpart/internal/graph"
 
 // Stage-I selection maximises mu_s1 (Eq. 7): the closeness of a frontier
 // candidate v to the partition, taken as the best overlap ratio
@@ -17,7 +14,8 @@ import (
 //     orders candidates. Per absorption this costs O(deg(j) + sum of deg(v)
 //     over j's frontier neighbours), so a whole round stays near the paper's
 //     O(L²d²) bound without rescanning the frontier every step. Terms are
-//     frozen as evaluated (alive-degree drift after evaluation is ignored).
+//     frozen as evaluated (alive-degree drift after evaluation is ignored),
+//     so selections and RF differ from exact mode (DESIGN.md deviation 7).
 //   - Exact (Options.Stage1Exact): every step recomputes every candidate
 //     from scratch — the paper's literal evaluation order; used by tests and
 //     available for small graphs.
@@ -163,24 +161,14 @@ func (st *runState) selectStage1Exact() (graph.Vertex, bool) {
 	return bestV, found
 }
 
-// stage1ParallelMin is the candidate count below which the scoring fan-out
-// stays on the calling goroutine: pool startup costs a few microseconds,
-// which only pays off once a frontier row carries hundreds of intersections.
-const stage1ParallelMin = 256
-
 // updateStage1Scores folds the newly absorbed member j into the cached
 // mu_s1 scores of its frontier neighbours: each gains the candidate term
 // overlap(v, j) / |N(j)| where N(·) is the alive neighbourhood.
 //
-// The loop runs in three phases over j's compacted alive row (DESIGN.md
-// §13): mark (stamp j's alive neighbourhood, skipped for hubs whose
-// persistent bitset already answers membership), intersect (one exact
-// kernel evaluation per candidate, fanned over internal/parallel when the
-// row is large — results land in the index-addressed countBuf, so the
-// counts are bit-identical for any worker count), and fold (sequential
-// heap/score updates in row order). Only the intersect phase runs
-// concurrently, and it exclusively reads state, so the fold — the only
-// writer — keeps the output byte-for-byte equal to a 1-worker run.
+// One pass over j's compacted alive row (DESIGN.md §13) marks j's alive
+// neighbourhood (skipped for hubs, whose persistent bitset already answers
+// membership), then evaluates one exact kernel per candidate and folds the
+// term into the score cache and lazy heap in row order.
 func (st *runState) updateStage1Scores(j graph.Vertex) {
 	if st.opts.Stage1Exact || st.opts.stage1Policy() == PolicyMaxDegree {
 		return // these modes rescan; no cache to maintain
@@ -189,107 +177,24 @@ func (st *runState) updateStage1Scores(j graph.Vertex) {
 	if dj <= 0 {
 		return
 	}
-	if st.opts.Stage1NeighborCap > 0 {
-		st.updateStage1ScoresSampled(j)
-		return
-	}
 	w := st.kernelWatch()
 	mark := st.markAlive(j)
 
 	jn, _ := st.alive.row(j)
 	djf := float64(dj)
-	if len(jn) < stage1ParallelMin || st.workers <= 1 {
-		// Sequential rows fuse intersect and fold into one pass: the fold
-		// only writes mu1Score/mu1Heap, which no kernel reads, so the fused
-		// pass computes exactly what the staged one does. Fold time is
-		// accounted under intersect here.
-		var local [numKernels]int64
-		for _, v := range jn {
-			if st.isMember(v) {
-				continue
-			}
-			cnt, kind := st.overlapAlive(j, v, mark)
-			local[kind]++
-			if score := float64(cnt) / djf; score > st.mu1Score[v] {
-				st.mu1Score[v] = score
-				st.mu1Heap.push(scoreEntry{score: score, deg: st.aliveDeg[v], v: v})
-				st.maybeCompactMu1Heap()
-			}
+	for _, v := range jn {
+		if st.isMember(v) {
+			continue
 		}
-		for k, n := range local {
-			if n > 0 {
-				st.kernelCounts[k].Add(n)
-			}
+		cnt, kind := st.overlapAlive(j, v, mark)
+		st.kernelCounts[kind]++
+		if score := float64(cnt) / djf; score > st.mu1Score[v] {
+			st.mu1Score[v] = score
+			st.mu1Heap.push(scoreEntry{score: score, deg: st.aliveDeg[v], v: v})
+			st.maybeCompactMu1Heap()
 		}
-		st.tIntersect += w.lap()
-		return
 	}
-
-	if cap(st.countBuf) < len(jn) {
-		st.countBuf = make([]int32, len(jn)*2)
-	}
-	counts := st.countBuf[:len(jn)]
-	chunks := parallel.Chunks(len(jn), st.workers*4)
-	parallel.ForEach(len(chunks), st.workers, func(c int) {
-		var local [numKernels]int64
-		for i := chunks[c][0]; i < chunks[c][1]; i++ {
-			v := jn[i]
-			if st.isMember(v) {
-				counts[i] = -1
-				continue
-			}
-			cnt, kind := st.overlapAlive(j, v, mark)
-			counts[i] = int32(cnt)
-			local[kind]++
-		}
-		for k, n := range local {
-			if n > 0 {
-				st.kernelCounts[k].Add(n)
-			}
-		}
-	})
 	st.tIntersect += w.lap()
-
-	for i, v := range jn {
-		if counts[i] < 0 {
-			continue
-		}
-		if score := float64(counts[i]) / djf; score > st.mu1Score[v] {
-			st.mu1Score[v] = score
-			st.mu1Heap.push(scoreEntry{score: score, deg: st.aliveDeg[v], v: v})
-			st.maybeCompactMu1Heap()
-		}
-	}
-	st.tFold += w.lap()
-}
-
-// updateStage1ScoresSampled is the legacy scoring loop kept verbatim for
-// Stage1NeighborCap configurations: full CSR rows, per-edge assignment
-// checks, and stride-sampled counts via sampledOverlap, so capped runs
-// reproduce their historical output exactly.
-func (st *runState) updateStage1ScoresSampled(j graph.Vertex) {
-	g := st.g
-	mark := st.nextMark()
-	jn := g.Neighbors(j)
-	je := g.IncidentEdges(j)
-	for i, u := range jn {
-		if !st.a.IsAssigned(je[i]) {
-			st.markStamp[u] = mark
-		}
-	}
-	djf := float64(st.aliveDeg[j])
-	for i, v := range jn {
-		if st.a.IsAssigned(je[i]) || st.isMember(v) {
-			continue
-		}
-		overlap := st.sampledOverlap(v, mark)
-		st.kernelCounts[kernelSampled].Add(1)
-		if score := float64(overlap) / djf; score > st.mu1Score[v] {
-			st.mu1Score[v] = score
-			st.mu1Heap.push(scoreEntry{score: score, deg: st.aliveDeg[v], v: v})
-			st.maybeCompactMu1Heap()
-		}
-	}
 }
 
 // maybeCompactMu1Heap drops stale lazy-heap entries once they outnumber the
@@ -317,51 +222,24 @@ func (st *runState) maybeCompactMu1Heap() {
 
 // computeMu1 evaluates Eq. 7 for candidate v from scratch (exact mode):
 // the maximum over alive member neighbours j of overlap(v,j)/|N(j)|. The
-// member iteration stays on the full CSR row so the Stage1MemberCap
-// examination order is untouched; only the inner intersections dispatch to
-// the alive-row kernels (or to sampledOverlap when Stage1NeighborCap is
-// configured, preserving the capped mode's historical counts).
+// member iteration walks the full CSR row; the inner intersections
+// dispatch to the alive-row kernels.
 func (st *runState) computeMu1(v graph.Vertex) float64 {
 	g := st.g
-	legacy := st.opts.Stage1NeighborCap > 0
-	var mark int32
-	if legacy {
-		mark = st.nextMark()
-		nbrs := g.Neighbors(v)
-		eids := g.IncidentEdges(v)
-		for i, u := range nbrs {
-			if !st.a.IsAssigned(eids[i]) {
-				st.markStamp[u] = mark
-			}
-		}
-	} else {
-		mark = st.markAlive(v)
-	}
+	mark := st.markAlive(v)
 	best := 0.0
-	examined := 0
 	nbrs := g.Neighbors(v)
 	eids := g.IncidentEdges(v)
 	for i, j := range nbrs {
 		if st.a.IsAssigned(eids[i]) || !st.isMember(j) {
 			continue
 		}
-		if capM := st.opts.Stage1MemberCap; capM > 0 && examined >= capM {
-			break
-		}
-		examined++
 		dj := st.aliveDeg[j]
 		if dj <= 0 {
 			continue
 		}
-		var common int
-		if legacy {
-			common = st.sampledOverlap(j, mark)
-			st.kernelCounts[kernelSampled].Add(1)
-		} else {
-			var kind kernelKind
-			common, kind = st.overlapAlive(v, j, mark)
-			st.kernelCounts[kind].Add(1)
-		}
+		common, kind := st.overlapAlive(v, j, mark)
+		st.kernelCounts[kind]++
 		if score := float64(common) / float64(dj); score > best {
 			best = score
 		}

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"github.com/graphpart/graphpart/internal/graph"
-	"github.com/graphpart/graphpart/internal/parallel"
 	"github.com/graphpart/graphpart/internal/partition"
 	"github.com/graphpart/graphpart/internal/rng"
 )
@@ -61,24 +59,20 @@ type runState struct {
 	markEpoch int32
 
 	// Stage-I scoring kernel state (DESIGN.md §13): the compacted alive
-	// adjacency, the persistent hub bitsets, and the resolved worker count
-	// for the parallel frontier-scoring fan-out.
+	// adjacency and the persistent hub bitsets.
 	alive        *aliveAdj
 	hubBits      [][]uint64 // nil for non-hubs; alive-neighbour bitset for hubs
 	hubWords     int        // words per hub bitset: ceil(n/64)
 	hubThreshold int        // full degree at which a vertex becomes a hub
-	workers      int        // resolved stage-I scoring workers
-	countBuf     []int32    // per-candidate overlap results, index-addressed
 
-	// kernelCounts tallies intersections per kernelKind; atomics because
-	// parallel scoring workers merge per-chunk counts concurrently.
-	kernelCounts [numKernels]atomic.Int64
+	// kernelCounts tallies intersections per kernelKind.
+	kernelCounts [numKernels]int64
 
 	// Per-round kernel-phase wall-clock accumulators, only advanced while
 	// telemetry records; flushed as tlp.s1.* trace segments at round end.
-	// Marking is accounted under intersect (one fewer clock read per
-	// absorption on the hot path).
-	tCompact, tIntersect, tFold time.Duration
+	// Marking and the score fold are accounted under intersect (one fewer
+	// clock read per absorption on the hot path).
+	tCompact, tIntersect time.Duration
 
 	// ein/eout are |E(P_k)| and |E_out(P_k)| of the current round's
 	// partition, maintained incrementally.
@@ -107,7 +101,6 @@ func newRunState(g *graph.Graph, a *partition.Assignment, opts Options) *runStat
 			st.alivePool = append(st.alivePool, graph.Vertex(v))
 		}
 	}
-	st.workers = parallel.Workers(opts.Workers)
 	st.alive = newAliveAdj(g)
 	st.initHubBitsets()
 	return st

@@ -132,8 +132,7 @@ func runLocal(g *graph.Graph, p int, opts Options, isStage1 stagePolicy) (*parti
 		obs.Int("p", p), obs.Int("edges", m), obs.Int("capacity", capC))
 	bsp := sp.Child("tlp.s1.build")
 	st := newRunState(g, a, opts)
-	bsp.EndWith(obs.Int("hub_threshold", st.hubThreshold),
-		obs.Int("workers", st.workers))
+	bsp.EndWith(obs.Int("hub_threshold", st.hubThreshold))
 	assigned := 0
 	for k := 0; k < p && assigned < m; k++ {
 		stats.Rounds++
@@ -238,11 +237,10 @@ func runLocal(g *graph.Graph, p int, opts Options, isStage1 stagePolicy) (*parti
 		ssp.EndWith(obs.Int("swept", stats.SweptEdges))
 	}
 	stats.Stage1Kernels = KernelCounts{
-		Scan:    st.kernelCounts[kernelScan].Load(),
-		Bitset:  st.kernelCounts[kernelBitset].Load(),
-		Word:    st.kernelCounts[kernelWord].Load(),
-		Gallop:  st.kernelCounts[kernelGallop].Load(),
-		Sampled: st.kernelCounts[kernelSampled].Load(),
+		Scan:   st.kernelCounts[kernelScan],
+		Bitset: st.kernelCounts[kernelBitset],
+		Word:   st.kernelCounts[kernelWord],
+		Gallop: st.kernelCounts[kernelGallop],
 	}
 	recordRunMetrics(&stats)
 	sp.EndWith(obs.Int("rounds", stats.Rounds),

@@ -67,13 +67,13 @@ func sameAssignment(t *testing.T, name string, a, b *partition.Assignment) {
 	}
 }
 
-// TestEdgeStreamMatchesSource asserts the legacy EdgeStream permutation and
-// the order-aware EdgeSource wrapper yield the same sequence for the same
-// seed — the refactor's core invariant.
+// TestEdgeStreamMatchesSource asserts the edge permutation a streaming
+// partitioner builds with source.EdgeOrder and the order-aware EdgeSource
+// wrapper yield the same sequence for the same seed.
 func TestEdgeStreamMatchesSource(t *testing.T) {
 	g := randomGraph(13, 90, 400)
 	for _, ord := range []Order{OrderShuffled, OrderNatural, OrderBFS} {
-		want := EdgeStream(g, ord, 77)
+		want := source.EdgeOrder(g, ord, 77)
 		src := source.FromGraph(g, ord, 77)
 		for i := 0; ; i++ {
 			e, ok, err := src.Next()
@@ -87,7 +87,7 @@ func TestEdgeStreamMatchesSource(t *testing.T) {
 				break
 			}
 			if e.ID != want[i] {
-				t.Fatalf("order %d position %d: source emitted %d, EdgeStream has %d", ord, i, e.ID, want[i])
+				t.Fatalf("order %d position %d: source emitted %d, EdgeOrder has %d", ord, i, e.ID, want[i])
 			}
 		}
 	}

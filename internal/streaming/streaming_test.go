@@ -8,6 +8,7 @@ import (
 	"github.com/graphpart/graphpart/internal/graph"
 	"github.com/graphpart/graphpart/internal/partition"
 	"github.com/graphpart/graphpart/internal/rng"
+	"github.com/graphpart/graphpart/internal/source"
 )
 
 func randomGraph(seed uint64, n, extra int) *graph.Graph {
@@ -246,11 +247,14 @@ func TestFENNELVertexPartition(t *testing.T) {
 	}
 }
 
+// TestEdgeStreamOrders checks every order source.EdgeOrder hands a
+// streaming partitioner is a permutation of the edge ids, and that the
+// natural order is the identity.
 func TestEdgeStreamOrders(t *testing.T) {
 	g := randomGraph(16, 50, 150)
 	m := g.NumEdges()
 	for _, ord := range []Order{OrderShuffled, OrderNatural, OrderBFS} {
-		ids := EdgeStream(g, ord, 17)
+		ids := source.EdgeOrder(g, ord, 17)
 		if len(ids) != m {
 			t.Fatalf("order %d: %d ids, want %d", ord, len(ids), m)
 		}
@@ -263,7 +267,7 @@ func TestEdgeStreamOrders(t *testing.T) {
 		}
 	}
 	// Natural order is the identity.
-	ids := EdgeStream(g, OrderNatural, 17)
+	ids := source.EdgeOrder(g, OrderNatural, 17)
 	for i, id := range ids {
 		if int(id) != i {
 			t.Fatal("natural order not identity")

@@ -76,12 +76,10 @@ func NewSlidingTLP(cfg SlidingWindowConfig) *SlidingTLP { return window.New(cfg)
 func NewFlatKL(cfg METISConfig) Partitioner { return metis.NewFlatKL(cfg) }
 
 // AllPartitioners returns one instance of every partitioner in this library
-// keyed by lower-case name; handy for CLIs and comparisons.
-//
-// Two entries carry naming notes: "tlpsw" is the sliding-window TLP variant
-// (NewSlidingTLP), and the flat Kernighan-Lin-family baseline is registered
-// under both "kl" (historical) and "flatkl" (matching its constructor
-// NewFlatKL) — the two keys hold equivalent, identically-seeded instances.
+// keyed by lower-case name; handy for CLIs and comparisons. Each family has
+// exactly one key: "tlpsw" is the sliding-window TLP variant
+// (NewSlidingTLP) and "flatkl" the flat Kernighan-Lin-family baseline
+// (NewFlatKL).
 func AllPartitioners(seed uint64) map[string]Partitioner {
 	return map[string]Partitioner{
 		"tlp":    NewTLP(TLPOptions{Seed: seed}),
@@ -93,7 +91,6 @@ func AllPartitioners(seed uint64) map[string]Partitioner {
 		"greedy": NewGreedy(seed, OrderShuffled),
 		"hdrf":   NewHDRF(seed, OrderShuffled, 0),
 		"tlpsw":  NewSlidingTLP(SlidingWindowConfig{Seed: seed}),
-		"kl":     NewFlatKL(METISConfig{Seed: seed}),
 		"flatkl": NewFlatKL(METISConfig{Seed: seed}),
 	}
 }
