@@ -2,12 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"strings"
 	"testing"
 
+	"github.com/graphpart/graphpart/internal/engine"
 	"github.com/graphpart/graphpart/internal/obs"
 	"github.com/graphpart/graphpart/internal/wire"
 )
@@ -139,5 +141,61 @@ func TestClusterRunTraceAndMergedMetrics(t *testing.T) {
 	}
 	if labelled != 4 || perWorker != agg {
 		t.Fatalf("labelled engine.host.steps from %d workers sum to %v, aggregate %v", labelled, perWorker, agg)
+	}
+}
+
+// TestEngineBuiltLazily checks when a cache entry builds its engine:
+// /partition lookups leave it unbuilt, the first in-process /run (mem)
+// builds it, a later tcp /run reuses that same engine, and a cluster /run
+// never builds one in the daemon — its workers build their own.
+func TestEngineBuiltLazily(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	s, ts := newTestServer(t)
+	engineOf := func(p int) *engine.Engine {
+		t.Helper()
+		s.cache.mu.Lock()
+		e := s.cache.entries[cacheKey{family: "tlp", p: p}]
+		s.cache.mu.Unlock()
+		if e == nil {
+			t.Fatalf("no cache entry for tlp/p=%d", p)
+		}
+		e.engMu.Lock()
+		defer e.engMu.Unlock()
+		return e.eng
+	}
+	run := func(p int, transport string) map[string]any {
+		return postJSON(t, ts.URL+"/run", map[string]any{
+			"program": "pagerank", "family": "tlp", "p": p,
+			"max_supersteps": 10, "transport": transport,
+		}, http.StatusOK)
+	}
+
+	for edge := 0; edge < 3; edge++ {
+		getJSON(t, fmt.Sprintf("%s/partition?family=tlp&p=4&edge=%d", ts.URL, edge), http.StatusOK)
+	}
+	if engineOf(4) != nil {
+		t.Fatal("/partition lookups built an engine")
+	}
+	got := run(4, "mem")
+	built := engineOf(4)
+	if built == nil {
+		t.Fatal("first mem /run left the engine unbuilt")
+	}
+	if rf := got["replication_factor"].(float64); rf != built.ReplicationFactor() {
+		t.Fatalf("/run replication_factor %v, engine reports %v", rf, built.ReplicationFactor())
+	}
+	run(4, "tcp")
+	if engineOf(4) != built {
+		t.Fatal("tcp /run rebuilt the engine")
+	}
+
+	got = run(3, "cluster")
+	if engineOf(3) != nil {
+		t.Fatal("cluster /run built an in-process engine")
+	}
+	if rf := got["replication_factor"].(float64); rf < 1 {
+		t.Fatalf("cluster /run replication_factor %v, want >= 1", rf)
 	}
 }

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"github.com/graphpart/graphpart/internal/graph"
+	"github.com/graphpart/graphpart/internal/invariants"
 	"github.com/graphpart/graphpart/internal/partition"
 	"github.com/graphpart/graphpart/internal/rng"
 )
@@ -55,5 +57,40 @@ func TestHotPathAllocs_Superstep(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, superstep); allocs != 0 {
 		t.Fatalf("superstep allocates %.1f times per step", allocs)
+	}
+}
+
+// TestBuildAllocs_FlatLayout pins New's flat layout: at a fixed p, building
+// an engine allocates the same number of objects on two graphs whose sizes
+// differ 10×. Every per-machine table is one exactly sized array, so the
+// count grows with p, never with the number of vertices, edges or replicas.
+func TestBuildAllocs_FlatLayout(t *testing.T) {
+	if invariants.Enabled {
+		t.Skip("invariants builds run partition.Validate's per-edge load check, which allocates")
+	}
+	const p = 6
+	build := func(n, extra int) func() {
+		g := testGraph(31, n, extra)
+		a := partition.MustNew(g.NumEdges(), p)
+		for id := 0; id < g.NumEdges(); id++ {
+			a.Assign(graph.EdgeID(id), id%p)
+		}
+		return func() {
+			if _, err := New(g, a); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The collector is off while counting: a GC cycle can make a runtime
+	// allocation of its own, and the larger graph triggers more cycles.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	small := testing.AllocsPerRun(20, build(400, 1000))
+	large := testing.AllocsPerRun(20, build(4000, 10000))
+	if small != large {
+		t.Fatalf("New allocates %.0f objects on %d vertices but %.0f on %d: allocations must not grow with the graph",
+			small, 400, large, 4000)
+	}
+	if small > 40*p {
+		t.Fatalf("New allocates %.0f objects at p=%d; want O(p)", small, p)
 	}
 }

@@ -59,3 +59,59 @@ func assertTrafficConsistent(stats Stats) {
 		"traffic matrix totals %d bytes but per-kind counters total %d",
 		links.TotalBytes(), stats.Bytes())
 }
+
+// assertSlotsAscending checks that New laid out every local adjacency in
+// ascending canonical-slot order — the order GatherFlush promises its
+// Slots in, which New gets from the graph's (U, V)-sorted edge ids rather
+// than from a sort. No-op unless built with -tags graphpart_invariants.
+func assertSlotsAscending(m *machine) {
+	if !invariants.Enabled {
+		return
+	}
+	for i := range m.reps {
+		for j := m.off[i] + 1; j < m.off[i+1]; j++ {
+			// Boxing the arguments allocates, so format only on failure.
+			if m.adjSlot[j-1] >= m.adjSlot[j] {
+				invariants.Assertf(false, "machine %d replica %d: arc slots %d, %d not ascending",
+					m.id, i, m.adjSlot[j-1], m.adjSlot[j])
+			}
+		}
+	}
+}
+
+// assertFrontierAgreement checks, after a finalize barrier, that every
+// machine's frontier lists each replica at most once and that every mirror
+// is on its machine's frontier exactly when its master is on the master
+// machine's — the replica agreement the activation protocol exists to
+// establish (DESIGN.md §10). No-op unless built with
+// -tags graphpart_invariants.
+func assertFrontierAgreement(machines []*machine, step int) {
+	if !invariants.Enabled {
+		return
+	}
+	onFrontier := make([][]bool, len(machines))
+	for k, m := range machines {
+		onFrontier[k] = make([]bool, len(m.reps))
+		for _, i := range m.frontier {
+			if onFrontier[k][i] {
+				invariants.Assertf(false, "superstep %d: machine %d lists replica %d twice on its frontier", step, k, i)
+			}
+			onFrontier[k][i] = true
+		}
+	}
+	for k, m := range machines {
+		for i := range m.reps {
+			if !m.isMaster(int32(i)) {
+				continue
+			}
+			r := m.rank[i]
+			for x := m.mirrorOff[r]; x < m.mirrorOff[r+1]; x++ {
+				mk, ml := m.mirrorMachine[x], m.mirrorLidx[x]
+				if onFrontier[mk][ml] != onFrontier[k][i] {
+					invariants.Assertf(false, "superstep %d: vertex %d is active=%v at its master on machine %d but active=%v at its mirror on machine %d",
+						step, m.reps[i].vert, onFrontier[k][i], k, onFrontier[mk][ml], mk)
+				}
+			}
+		}
+	}
+}

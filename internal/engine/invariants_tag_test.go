@@ -3,6 +3,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -25,4 +26,61 @@ func TestEngineUnderSanitizer(t *testing.T) {
 			t.Fatalf("p=%d: run did nothing (steps=%d msgs=%d)", p, stats.Supersteps, stats.Messages())
 		}
 	}
+}
+
+// TestFrontierDisagreementTripsSanitizer plants the two frontier bugs the
+// finalize-barrier check exists for — a mirror missing from its machine's
+// frontier while its master is on the master's, and a replica listed twice
+// — and checks that each one panics.
+func TestFrontierDisagreementTripsSanitizer(t *testing.T) {
+	g := testGraph(11, 200, 500)
+	e, err := New(g, partitioned(t, g, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reset := func() {
+		tr := NewMemTransport(e.p)
+		for _, m := range e.machines {
+			m.reset(&DegreeCount{}, tr)
+		}
+	}
+	expectPanic := func(what, want string) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatalf("%s: frontier check passed", what)
+			}
+			if msg, ok := r.(string); !ok || !strings.Contains(msg, want) {
+				t.Fatalf("%s: unexpected panic payload: %v", what, r)
+			}
+		}()
+		assertFrontierAgreement(e.machines, 0)
+	}
+	reset()
+	assertFrontierAgreement(e.machines, 0) // every replica active: agreement
+
+	// Drop the first mirror replica found from its machine's frontier.
+	dropped := false
+	for _, m := range e.machines {
+		for x, i := range m.frontier {
+			if !m.isMaster(i) {
+				m.frontier = append(m.frontier[:x], m.frontier[x+1:]...)
+				dropped = true
+				break
+			}
+		}
+		if dropped {
+			break
+		}
+	}
+	if !dropped {
+		t.Fatal("no mirror replica to drop")
+	}
+	expectPanic("missing mirror", "at its mirror")
+
+	reset()
+	m := e.machines[0]
+	m.frontier = append(m.frontier, m.frontier[0])
+	expectPanic("duplicate entry", "twice")
 }

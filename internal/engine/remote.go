@@ -80,27 +80,19 @@ func (h *MachineHost) Step(phase int) error {
 func (h *MachineHost) ActiveMasters() int { return h.m.activeMasters }
 
 // Replicas returns the number of vertex replicas the machine holds.
-func (h *MachineHost) Replicas() int { return len(h.m.verts) }
+func (h *MachineHost) Replicas() int { return len(h.m.reps) }
 
 // Masters returns the number of vertices the machine masters.
-func (h *MachineHost) Masters() int {
-	n := 0
-	for i := range h.m.verts {
-		if h.m.isMaster[i] {
-			n++
-		}
-	}
-	return n
-}
+func (h *MachineHost) Masters() int { return len(h.m.accOff) }
 
 // MasterValues returns the final value of every vertex this machine
 // masters. Call it only between supersteps (or after the run); values are
 // read from machine state the coordinator barrier must have quiesced.
 func (h *MachineHost) MasterValues() []MasterValue {
-	out := make([]MasterValue, 0, len(h.m.verts))
-	for i, v := range h.m.verts {
-		if h.m.isMaster[i] {
-			out = append(out, MasterValue{Vertex: v, Value: h.m.value[i]})
+	out := make([]MasterValue, 0, len(h.m.accOff))
+	for i := range h.m.reps {
+		if h.m.isMaster(int32(i)) {
+			out = append(out, MasterValue{Vertex: h.m.reps[i].vert, Value: h.m.reps[i].value})
 		}
 	}
 	return out
